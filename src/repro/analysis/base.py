@@ -14,9 +14,11 @@ import ast
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Protocol, Set
+from typing import Any, Callable, Dict, Iterable, List, Protocol, Set, TypeVar
 
 from repro.exceptions import ConfigurationError
+
+_T = TypeVar("_T")
 
 __all__ = [
     "Finding",
@@ -94,6 +96,19 @@ class LintContext:
 
     root: Path
     modules: List[ModuleInfo]
+    #: Whole-tree facts shared by every rule of one pass (see :meth:`memo`).
+    _memo: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
+
+    def memo(self, key: str, build: Callable[[], _T]) -> _T:
+        """``build()``, computed once per context under ``key``.
+
+        Rules that derive a fact from the whole tree (the call graph, the
+        session-phase enum) read it from here, so a pass stays linear in
+        the tree size however many modules ask for it.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def module_named(self, dotted: str) -> ModuleInfo | None:
         """The scanned module with dotted name ``dotted``, if present."""

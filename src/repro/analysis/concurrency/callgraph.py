@@ -323,8 +323,4 @@ def graph_for(context: LintContext) -> ProjectCallGraph:
     Four rules run over the same tree in one lint pass; the graph is cached
     on the context so the interprocedural work happens exactly once.
     """
-    graph = getattr(context, "_concurrency_graph", None)
-    if graph is None:
-        graph = ProjectCallGraph.build(context)
-        context._concurrency_graph = graph  # type: ignore[attr-defined]
-    return graph
+    return context.memo("concurrency-call-graph", lambda: ProjectCallGraph.build(context))

@@ -197,8 +197,13 @@ def _enum_value_map(context: LintContext) -> Dict[str, str]:
     """``SessionPhase`` member -> string value, from the scanned tree.
 
     Falls back to ``member.lower()`` when the enum class is not in the tree
-    (rule-fixture directories).
+    (rule-fixture directories).  The scan walks every module, so it runs
+    once per context and every module's check shares the result.
     """
+    return context.memo("protocol-state-enum-values", lambda: _scan_enum_values(context))
+
+
+def _scan_enum_values(context: LintContext) -> Dict[str, str]:
     for module in context.modules:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef) and node.name == _PHASE_ENUM:

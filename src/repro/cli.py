@@ -64,8 +64,9 @@ from pathlib import Path
 from repro.core.hitmodel import HitProbabilityModel, VCRMix
 from repro.core.vcrop import VCROperation
 from repro.distributions.factory import distribution_from_spec
+from repro.exceptions import ConfigurationError
 from repro.experiments.registry import available_experiments, run_experiment
-from repro.numerics.backend import BACKENDS, set_backend
+from repro.numerics.backend import BACKENDS, active_backend, set_backend
 from repro.obs.log import configure as configure_logging
 from repro.obs.registry import ObsRegistry
 from repro.obs.trace import TraceWriter
@@ -139,10 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="decrease log verbosity (repeatable)",
     )
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="numerics backend for model evaluation (default: stdlib batched "
-        "kernels, or the REPRO_BACKEND environment variable; 'numpy' enables "
-        "the vectorised kernels, 'scalar' forces the unbatched oracle)",
+        "--backend", default=None, metavar="{" + ",".join(BACKENDS) + "}",
+        help="numerics backend for model evaluation (default: numpy batched "
+        "kernels, or the REPRO_BACKEND environment variable; 'scalar' forces "
+        "the unbatched oracle)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1257,7 +1258,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the static-analysis pass; exit 0 clean, 2 findings."""
     from repro.analysis import Baseline, available_rules, run_lint
-    from repro.exceptions import ConfigurationError
 
     if args.list_rules:
         for rule_id, description in available_rules():
@@ -1328,8 +1328,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose, args.quiet)
-    if args.backend is not None:
-        set_backend(args.backend)
+    try:
+        if args.backend is not None:
+            set_backend(args.backend)
+        active_backend()
+    except ConfigurationError as exc:
+        print(f"repro-vod: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -48,9 +48,9 @@ from repro.core.parameters import SystemConfiguration
 from repro.core.vcrop import VCROperation
 from repro.distributions.base import DurationDistribution
 from repro.exceptions import ConfigurationError
-from repro.numerics.backend import active_backend
+from repro.numerics.backend import batching_enabled
 from repro.numerics.intervals import Interval, IntervalUnion, measure_under_many
-from repro.numerics.quadrature import _gl_nodes, gauss_legendre_nodes, lerp_many
+from repro.numerics.quadrature import _gl_nodes, gauss_legendre_nodes
 
 __all__ = [
     "CdfTransform",
@@ -218,16 +218,7 @@ class CdfTransform:
     ``V_c``-unconditioning described in the module docstring.
     """
 
-    __slots__ = (
-        "_duration",
-        "_length",
-        "_xs",
-        "_fs",
-        "_gs",
-        "_g_total",
-        "_xs_list",
-        "_gs_list",
-    )
+    __slots__ = ("_duration", "_length", "_xs", "_fs", "_gs", "_g_total")
 
     def __init__(
         self,
@@ -240,17 +231,17 @@ class CdfTransform:
         self._duration = duration
         self._length = float(movie_length)
         self._xs = np.linspace(0.0, self._length, grid_points)
-        self._fs = np.asarray([duration.cdf(float(x)) for x in self._xs])
+        if batching_enabled():
+            self._fs = duration.cdf_batch(self._xs)
+        else:
+            # The scalar oracle stays independent of every batch kernel.
+            self._fs = np.asarray([duration.cdf(float(x)) for x in self._xs])
         # Cumulative trapezoid for G(c) = ∫_0^c F(u) du.  Only G needs the
         # grid; F is evaluated exactly so point masses are not smeared.
         widths = np.diff(self._xs)
         areas = 0.5 * (self._fs[1:] + self._fs[:-1]) * widths
         self._gs = np.concatenate(([0.0], np.cumsum(areas)))
         self._g_total = float(self._gs[-1])
-        # Plain-float copies of the grid, built lazily for the stdlib batch
-        # kernels (identical values; list indexing beats ndarray scalar reads).
-        self._xs_list: list[float] | None = None
-        self._gs_list: list[float] | None = None
 
     @property
     def movie_length(self) -> float:
@@ -291,81 +282,29 @@ class CdfTransform:
         return self._length - self._g_total
 
     # ------------------------------------------------------------------
-    # Batched evaluation.  Each *_many method reproduces the scalar method
-    # element by element — same clamps, same interpolation arithmetic, same
-    # CDF calls (routed through the distribution's ``cdf_batch``) — so the
-    # batched hit kernels below stay byte-identical with the scalar path on
-    # every backend.
+    # Batched evaluation over float arrays.  Each *_many method reproduces
+    # the scalar method element by element — same clamps, same
+    # interpolation arithmetic, same CDF values (through the distribution's
+    # ``cdf_batch``) — so the batched hit kernels below stay byte-identical
+    # with the scalar path.
     # ------------------------------------------------------------------
-    def _grid_lists(self) -> tuple[list[float], list[float]]:
-        if self._xs_list is None:
-            self._xs_list = [float(x) for x in self._xs]
-            self._gs_list = [float(g) for g in self._gs]
-        assert self._gs_list is not None
-        return self._xs_list, self._gs_list
+    def F_many(self, cs: np.ndarray) -> np.ndarray:
+        """Batched :meth:`F` (exact CDF with saturation outside ``[0, l]``)."""
+        out = np.where(cs >= self._length, float(self._fs[-1]), 0.0)
+        mask = (cs > 0.0) & (cs < self._length)
+        if mask.any():
+            out[mask] = self._duration.cdf_batch(cs[mask])
+        return out
 
-    def F_many(self, cs: "Sequence[float] | np.ndarray") -> "list[float] | np.ndarray":
-        """Batched :meth:`F` (exact CDF with saturation outside ``[0, l]``).
-
-        ndarray in → ndarray out (vectorised clamps, one ``cdf_batch`` over
-        the interior); sequence in → list out via the stdlib path.
-        """
-        length = self._length
-        last = float(self._fs[-1])
-        if isinstance(cs, np.ndarray):
-            out = np.where(cs >= length, last, 0.0)
-            mask = (cs > 0.0) & (cs < length)
-            if mask.any():
-                out[mask] = np.asarray(self._duration.cdf_batch(cs[mask]), dtype=float)
-            return out
-        out_list = [0.0] * len(cs)
-        interior: list[float] = []
-        positions: list[int] = []
-        for i, c in enumerate(cs):
-            if c <= 0.0:
-                continue
-            if c >= length:
-                out_list[i] = last
-                continue
-            interior.append(c)
-            positions.append(i)
-        if interior:
-            for i, value in zip(positions, self._duration.cdf_batch(interior)):
-                out_list[i] = float(value)
-        return out_list
-
-    def G_many(self, cs: "Sequence[float] | np.ndarray") -> "list[float] | np.ndarray":
+    def G_many(self, cs: np.ndarray) -> np.ndarray:
         """Batched :meth:`G` (``∫_0^c F``, clamped to ``[0, l]``)."""
-        length = self._length
-        if isinstance(cs, np.ndarray):
-            out = np.where(cs >= length, self._g_total, 0.0)
-            mask = (cs > 0.0) & (cs < length)
-            if mask.any():
-                out[mask] = np.interp(cs[mask], self._xs, self._gs)
-            return out
-        out_list = [0.0] * len(cs)
-        interior: list[float] = []
-        positions: list[int] = []
-        for i, c in enumerate(cs):
-            if c <= 0.0:
-                continue
-            if c >= length:
-                out_list[i] = self._g_total
-                continue
-            interior.append(c)
-            positions.append(i)
-        if not interior:
-            return out_list
-        if active_backend() == "numpy":
-            values = np.interp(np.asarray(interior), self._xs, self._gs).tolist()
-        else:
-            xs, gs = self._grid_lists()
-            values = lerp_many(interior, xs, gs)
-        for i, value in zip(positions, values):
-            out_list[i] = float(value)
-        return out_list
+        out = np.where(cs >= self._length, self._g_total, 0.0)
+        mask = (cs > 0.0) & (cs < self._length)
+        if mask.any():
+            out[mask] = np.interp(cs[mask], self._xs, self._gs)
+        return out
 
-    def H_many(self, cs: "Sequence[float] | np.ndarray") -> "list[float] | np.ndarray":
+    def H_many(self, cs: np.ndarray) -> np.ndarray:
         """Batched :meth:`H` — the hot call of the batched hit kernels.
 
         The interior expression is the scalar ``G(c) + (l − c) · F(c)`` with
@@ -373,45 +312,15 @@ class CdfTransform:
         ops; the CDF itself goes through the distribution's ``cdf_batch``).
         """
         length = self._length
-        if isinstance(cs, np.ndarray):
-            out = np.where(cs >= length, self._g_total, 0.0)
-            mask = (cs > 0.0) & (cs < length)
-            if mask.any():
-                interior_arr = cs[mask]
-                fs_arr = np.asarray(self._duration.cdf_batch(interior_arr), dtype=float)
-                out[mask] = (
-                    np.interp(interior_arr, self._xs, self._gs)
-                    + (length - interior_arr) * fs_arr
-                )
-            return out
-        out_list = [0.0] * len(cs)
-        interior: list[float] = []
-        positions: list[int] = []
-        for i, c in enumerate(cs):
-            if c <= 0.0:
-                continue
-            if c >= length:
-                out_list[i] = self._g_total
-                continue
-            interior.append(c)
-            positions.append(i)
-        if not interior:
-            return out_list
-        fs = self._duration.cdf_batch(interior)
-        if active_backend() == "numpy":
-            arr = np.asarray(interior)
-            hs = (
-                np.interp(arr, self._xs, self._gs)
-                + (length - arr) * np.asarray(fs, dtype=float)
-            ).tolist()
-            for i, value in zip(positions, hs):
-                out_list[i] = value
-        else:
-            xs, gs = self._grid_lists()
-            gvals = lerp_many(interior, xs, gs)
-            for i, c, g, f in zip(positions, interior, gvals, fs):
-                out_list[i] = g + (length - c) * f
-        return out_list
+        out = np.where(cs >= length, self._g_total, 0.0)
+        mask = (cs > 0.0) & (cs < length)
+        if mask.any():
+            interior = cs[mask]
+            out[mask] = (
+                np.interp(interior, self._xs, self._gs)
+                + (length - interior) * self._duration.cdf_batch(interior)
+            )
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -551,10 +460,10 @@ def hit_probability(
 #
 # One call evaluates a whole list of (n, B) configurations: every H/F
 # argument of every offset node of every configuration is gathered into a
-# single flat list, resolved with one CdfTransform batch call (one
+# single flat array, resolved with one CdfTransform batch call (one
 # distribution-CDF batch, one interpolation pass), then reduced per
 # configuration in exactly the order the scalar loops use — so the results
-# are byte-identical to hit_probability() on every backend.
+# are byte-identical to hit_probability().
 # ----------------------------------------------------------------------
 def _offset_nodes(span: float, num_nodes: int) -> tuple[list[float], tuple[float, ...] | None]:
     """The offset-integral abscissae of ``_offset_average`` for one config.
@@ -569,95 +478,13 @@ def _offset_nodes(span: float, num_nodes: int) -> tuple[list[float], tuple[float
     return [half * (node + 1.0) for node in nodes], weights
 
 
-def _ff_args_py(
-    config: SystemConfiguration,
-    ds: list[float],
-    leads: list[float],
-    his: list[float],
-    los: list[float],
-) -> list[int]:
-    """Append FF arguments (lead + interval pairs) per node; return pair counts."""
-    alpha = ff_catchup_factor(config.rates)
-    span = config.partition_span
-    spacing = config.partition_spacing
-    length = config.movie_length
-    counts: list[int] = []
-    for d in ds:
-        leads.append(alpha * d)
-        count = 0
-        i = 1
-        while True:
-            lo = alpha * (i * spacing + d - span)
-            if lo >= length:
-                break
-            his.append(alpha * (i * spacing + d))
-            los.append(lo)
-            i += 1
-            count += 1
-        counts.append(count)
-    return counts
-
-
-def _rw_args_py(
-    config: SystemConfiguration,
-    ds: list[float],
-    his: list[float],
-    los: list[float],
-) -> list[int]:
-    """Append RW interval pairs per node; return pair counts."""
-    gamma = rw_catchup_factor(config.rates)
-    span = config.partition_span
-    spacing = config.partition_spacing
-    length = config.movie_length
-    counts: list[int] = []
-    for d in ds:
-        count = 0
-        i = 0
-        while True:
-            lo = gamma * (i * spacing - d)
-            if lo >= length:
-                break
-            his.append(gamma * (i * spacing - d + span))
-            los.append(max(0.0, lo))
-            i += 1
-            count += 1
-        counts.append(count)
-    return counts
-
-
-def _pause_args_py(
-    config: SystemConfiguration,
-    ds: list[float],
-    his: list[float],
-    los: list[float],
-) -> list[int]:
-    """Append PAU interval pairs per node; return pair counts."""
-    span = config.partition_span
-    spacing = config.partition_spacing
-    length = config.movie_length
-    counts: list[int] = []
-    for d in ds:
-        count = 0
-        i = 0
-        while True:
-            lo = i * spacing - d
-            if lo >= length:
-                break
-            his.append(lo + span)
-            los.append(max(0.0, lo))
-            i += 1
-            count += 1
-        counts.append(count)
-    return counts
-
-
 # The vectorised builders replicate the scalar loop arithmetic exactly:
 # ``i * spacing`` over an exact-integer arange, then the same sequence of
 # exactly-rounded +/-/* ops.  The loop's break condition is recovered from
 # the (monotone) ``lo`` rows — ``(lo < length).sum()`` equals the scalar
 # iteration count — with the row width doubled until it provably covers the
 # break index of every offset node.
-def _ff_args_np(
+def _ff_args(
     config: SystemConfiguration, ds: list[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     alpha = ff_catchup_factor(config.rates)
@@ -679,7 +506,7 @@ def _ff_args_np(
     return leads, hi[mask], lo[mask], counts.tolist()
 
 
-def _rw_args_np(
+def _rw_args(
     config: SystemConfiguration, ds: list[float]
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     gamma = rw_catchup_factor(config.rates)
@@ -700,7 +527,7 @@ def _rw_args_np(
     return hi[mask], np.maximum(0.0, lo[mask]), counts.tolist()
 
 
-def _pause_args_np(
+def _pause_args(
     config: SystemConfiguration, ds: list[float]
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     span = config.partition_span
@@ -750,56 +577,33 @@ def hit_probability_batch(
     resolve = transform.F_many if is_pause else transform.H_many
 
     plans: list[tuple[tuple[float, ...] | None, list[int]]] = []
-    lead_vals: list[float] = []
-    if active_backend() == "numpy":
-        lead_parts: list[np.ndarray] = []
-        hi_parts: list[np.ndarray] = []
-        lo_parts: list[np.ndarray] = []
-        for config in configs:
-            ds, weights = _offset_nodes(config.partition_span, num_offset_nodes)
-            if is_ff:
-                leads, his, los, counts = _ff_args_np(config, ds)
-                lead_parts.append(leads)
-            elif is_rw:
-                his, los, counts = _rw_args_np(config, ds)
-            else:
-                his, los, counts = _pause_args_np(config, ds)
-            hi_parts.append(his)
-            lo_parts.append(los)
-            plans.append((weights, counts))
-        hi_arr = np.concatenate(hi_parts)
-        lo_arr = np.concatenate(lo_parts)
-        # Empty intervals (span 0 collapses every [lo, hi] to a point) would
-        # resolve to F(x) − F(x): exactly 0.0 for the pure elementwise F/H,
-        # so skip resolving them at all — bit-identical, and a span-0 sweep
-        # (pure batching, B = 0) costs nothing per interval.
-        proper = hi_arr != lo_arr
-        diff_arr = np.zeros(hi_arr.shape[0])
-        if proper.any():
-            hi_vals = np.asarray(resolve(hi_arr[proper]), dtype=float)
-            lo_vals = np.asarray(resolve(lo_arr[proper]), dtype=float)
-            diff_arr[proper] = hi_vals - lo_vals
-        diffs = diff_arr.tolist()
+    lead_parts: list[np.ndarray] = []
+    hi_parts: list[np.ndarray] = []
+    lo_parts: list[np.ndarray] = []
+    for config in configs:
+        ds, weights = _offset_nodes(config.partition_span, num_offset_nodes)
         if is_ff:
-            lead_vals = np.asarray(resolve(np.concatenate(lead_parts)), dtype=float).tolist()
-    else:
-        lead_args: list[float] = []
-        hi_args: list[float] = []
-        lo_args: list[float] = []
-        for config in configs:
-            ds, weights = _offset_nodes(config.partition_span, num_offset_nodes)
-            if is_ff:
-                counts = _ff_args_py(config, ds, lead_args, hi_args, lo_args)
-            elif is_rw:
-                counts = _rw_args_py(config, ds, hi_args, lo_args)
-            else:
-                counts = _pause_args_py(config, ds, hi_args, lo_args)
-            plans.append((weights, counts))
-        hi_list = resolve(hi_args)
-        lo_list = resolve(lo_args)
-        diffs = [a - b for a, b in zip(hi_list, lo_list)]
-        if is_ff:
-            lead_vals = list(resolve(lead_args))
+            leads, his, los, counts = _ff_args(config, ds)
+            lead_parts.append(leads)
+        elif is_rw:
+            his, los, counts = _rw_args(config, ds)
+        else:
+            his, los, counts = _pause_args(config, ds)
+        hi_parts.append(his)
+        lo_parts.append(los)
+        plans.append((weights, counts))
+    hi_arr = np.concatenate(hi_parts)
+    lo_arr = np.concatenate(lo_parts)
+    # Empty intervals (span 0 collapses every [lo, hi] to a point) would
+    # resolve to F(x) − F(x): exactly 0.0 for the pure elementwise F/H, so
+    # skip resolving them at all — bit-identical, and a span-0 sweep (pure
+    # batching, B = 0) costs nothing per interval.
+    proper = hi_arr != lo_arr
+    diff_arr = np.zeros(hi_arr.shape[0])
+    if proper.any():
+        diff_arr[proper] = resolve(hi_arr[proper]) - resolve(lo_arr[proper])
+    diffs = diff_arr.tolist()
+    lead_vals = resolve(np.concatenate(lead_parts)).tolist() if is_ff else []
 
     out: list[float] = []
     cursor = 0

@@ -61,17 +61,19 @@ class DurationDistribution(ABC):
     # ------------------------------------------------------------------
     # Shared derived quantities.
     # ------------------------------------------------------------------
-    def cdf_batch(self, xs: "Sequence[float]") -> list[float]:
-        """``[P(X <= x) for x in xs]`` in one call — the batched-model hook.
+    def cdf_batch(self, xs: "Sequence[float] | np.ndarray") -> np.ndarray:
+        """``P(X <= x)`` for every ``x`` of a float array — the batched-model hook.
 
         The base implementation is the scalar CDF in a loop, so every family
         is batchable by construction.  Families with a cheaper whole-batch
-        evaluation (exponential, gamma, truncations) override this; every
-        override is required to be *bit-for-bit* equal to the scalar ``cdf``
-        element by element — the batched hit model relies on that to stay
-        byte-identical with the scalar oracle.
+        evaluation override this; every override is required to be
+        *bit-for-bit* equal to the scalar ``cdf`` element by element — the
+        batched hit model relies on that to stay byte-identical with the
+        scalar oracle.  Any float sequence is accepted; the result is an
+        ndarray of the same length.
         """
-        return [self.cdf(float(x)) for x in xs]
+        values = np.asarray(xs, dtype=float).tolist()
+        return np.fromiter(map(self.cdf, values), dtype=float, count=len(values))
 
     def probability(self, lo: float, hi: float) -> float:
         """``P(lo <= X <= hi)``; clamps a reversed or empty range to 0."""

@@ -77,6 +77,19 @@ class LognormalDuration(DurationDistribution):
         z = (math.log(x) - self._mu) / (self._sigma * _SQRT2)
         return 0.5 * (1.0 + math.erf(z))
 
+    def cdf_batch(self, xs):
+        # Same arithmetic as ``cdf`` (bit-for-bit): log and erf go through
+        # map(math.log / math.erf, ...) per element; the shift, the divide
+        # and the final affine map are exactly-rounded vector ops.
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        pos = ~(xs <= 0.0)
+        n = int(pos.sum())
+        logs = np.fromiter(map(math.log, xs[pos].tolist()), dtype=float, count=n)
+        zs = (logs - self._mu) / (self._sigma * _SQRT2)
+        out[pos] = 0.5 * (1.0 + np.fromiter(map(math.erf, zs.tolist()), dtype=float, count=n))
+        return out
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.lognormal(self._mu, self._sigma, size=size)
 

@@ -9,8 +9,6 @@ split from Numerical Recipes.  Tests cross-check it against SciPy.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import NumericsError
@@ -189,24 +187,8 @@ def _gamma_continued_fraction_many(a: float, xs: np.ndarray) -> np.ndarray:
     )
 
 
-def _regularized_lower_gamma_arr(a: float, arr: np.ndarray) -> np.ndarray:
-    """Array-in/array-out core of :func:`regularized_lower_gamma_many`."""
-    if a <= 0.0:
-        raise NumericsError(f"regularized_lower_gamma requires a > 0, got {a}")
-    out = np.zeros(arr.shape)
-    series = (arr > 0.0) & (arr < a + 1.0)
-    fraction = arr >= a + 1.0
-    if series.any():
-        out[series] = np.minimum(1.0, _gamma_series_many(a, arr[series]))
-    if fraction.any():
-        out[fraction] = np.minimum(
-            1.0, np.maximum(0.0, 1.0 - _gamma_continued_fraction_many(a, arr[fraction]))
-        )
-    return out
-
-
-def regularized_lower_gamma_many(a: float, xs: Sequence[float]) -> list[float]:
-    """Batched ``P(a, x)`` over many ``x`` — bitwise equal to the scalar.
+def regularized_lower_gamma_many(a: float, xs: np.ndarray) -> np.ndarray:
+    """Batched ``P(a, x)`` over an array of ``x`` — bitwise equal to the scalar.
 
     Elements are routed to the same series/continued-fraction split as
     :func:`regularized_lower_gamma` and evaluated with masked array
@@ -214,4 +196,15 @@ def regularized_lower_gamma_many(a: float, xs: Sequence[float]) -> list[float]:
     exactly, so ``regularized_lower_gamma_many(a, xs)[k] ==
     regularized_lower_gamma(a, xs[k])`` bit for bit.
     """
-    return _regularized_lower_gamma_arr(a, np.asarray(xs, dtype=float)).tolist()
+    if a <= 0.0:
+        raise NumericsError(f"regularized_lower_gamma requires a > 0, got {a}")
+    out = np.zeros(xs.shape)
+    series = (xs > 0.0) & (xs < a + 1.0)
+    fraction = xs >= a + 1.0
+    if series.any():
+        out[series] = np.minimum(1.0, _gamma_series_many(a, xs[series]))
+    if fraction.any():
+        out[fraction] = np.minimum(
+            1.0, np.maximum(0.0, 1.0 - _gamma_continued_fraction_many(a, xs[fraction]))
+        )
+    return out

@@ -56,6 +56,15 @@ class UniformDuration(DurationDistribution):
             return 1.0
         return (x - self._lo) / (self._hi - self._lo)
 
+    def cdf_batch(self, xs):
+        # Same clamps and the same (x − lo) / (hi − lo) as ``cdf``, all
+        # exactly-rounded vector ops.
+        xs = np.asarray(xs, dtype=float)
+        out = np.where(xs >= self._hi, 1.0, 0.0)
+        inner = ~((xs <= self._lo) | (xs >= self._hi))
+        out[inner] = (xs[inner] - self._lo) / (self._hi - self._lo)
+        return out
+
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             return super().ppf(q)

@@ -9,6 +9,7 @@ ablation benchmark (A3 in DESIGN.md).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -64,6 +65,21 @@ class WeibullDuration(DurationDistribution):
         if x <= 0.0:
             return 0.0
         return -math.expm1(-((x / self._scale) ** self._shape))
+
+    def cdf_batch(self, xs):
+        # Same arithmetic as ``cdf`` (bit-for-bit): the divide and the
+        # negations are exactly-rounded vector ops; the power stays Python
+        # ``**`` (builtin ``pow``) and expm1 goes through map(math.expm1, ...),
+        # element by element.
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        pos = ~(xs <= 0.0)
+        n = int(pos.sum())
+        with np.errstate(over="ignore"):  # x / scale overflows to inf, as in ``cdf``
+            zs = xs[pos] / self._scale
+        powers = np.fromiter(map(pow, zs.tolist(), repeat(self._shape, n)), dtype=float, count=n)
+        out[pos] = -np.fromiter(map(math.expm1, (-powers).tolist()), dtype=float, count=n)
+        return out
 
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:

@@ -1,27 +1,29 @@
 """Numerics backend selection for the batched model hot path.
 
-The hit model ships two implementations of every batched kernel:
+The hit model has two evaluation paths:
 
-* ``"stdlib"`` (the default) — pure-Python list-of-floats kernels: binary
-  search + linear interpolation via :mod:`bisect`, distribution CDFs via the
-  same ``math``-library calls the scalar code makes.  No dependency beyond
-  the standard library is exercised on the hot path.
-* ``"numpy"`` — the same kernels expressed as NumPy array operations,
-  including a masked vectorised incomplete-gamma evaluator.  Opt in with
-  ``REPRO_BACKEND=numpy`` or the ``--backend numpy`` CLI flag.
-* ``"scalar"`` — forces the original point-by-point evaluation path.  This
-  is the oracle: both batched backends are required (and CI-enforced) to
-  produce byte-identical results to it.
+* ``"numpy"`` (the default) — the batched kernels: interval arguments of a
+  whole configuration grid gathered into arrays, the CDF transform's grid
+  built with one ``cdf_batch`` call, and distribution CDFs evaluated as
+  whole-array operations (including a masked vectorised incomplete gamma).
+  Only exactly-rounded operations (``+ − × ÷``, comparisons, clamps) are
+  vectorised; every transcendental goes through the same ``math`` call the
+  scalar code makes, element by element.
+* ``"scalar"`` — the original point-by-point evaluation path.  This is the
+  oracle: it runs no batch kernel and no ``cdf_batch`` override, and the
+  batched path is required (and CI-enforced) to reproduce it byte for byte.
 
-Backend choice is *deterministic state*, not behaviour: every backend
-computes bit-for-bit identical floating-point results, in the same order,
-for the same inputs.  The equivalence suite in
-``tests/core/test_batch_equivalence.py`` pins that contract.
+Backend choice is *deterministic state*, not behaviour: both backends
+compute bit-for-bit identical floating-point results for the same inputs.
+The equivalence suite in ``tests/core/test_batched_equivalence.py`` pins
+that contract.
 
-The active backend is process-global.  It is read once from the
-``REPRO_BACKEND`` environment variable at import (so worker processes forked
-by :mod:`repro.parallel` inherit the driver's choice) and can be changed
-explicitly with :func:`set_backend` or temporarily with :func:`use_backend`.
+The active backend is process-global.  It is read from the
+``REPRO_BACKEND`` environment variable on first use (so worker processes
+forked by :mod:`repro.parallel` inherit the driver's choice) and can be
+changed explicitly with :func:`set_backend` or temporarily with
+:func:`use_backend`.  An unknown name raises
+:class:`~repro.exceptions.ConfigurationError` listing the valid ones.
 """
 
 from __future__ import annotations
@@ -42,30 +44,40 @@ __all__ = [
 ]
 
 #: Recognised backend names, in documentation order.
-BACKENDS = ("stdlib", "numpy", "scalar")
+BACKENDS = ("numpy", "scalar")
 
 #: The backend used when ``REPRO_BACKEND`` is unset.
-DEFAULT_BACKEND = "stdlib"
+DEFAULT_BACKEND = "numpy"
 
 
 def _validate(name: str) -> str:
     if name not in BACKENDS:
         raise ConfigurationError(
-            f"unknown numerics backend {name!r}; expected one of {BACKENDS}"
+            f"unknown numerics backend {name!r}; expected one of: "
+            + ", ".join(BACKENDS)
         )
     return name
 
 
-_active = _validate(os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND))
+#: The explicitly selected backend; None until first use, when it is read
+#: from ``REPRO_BACKEND`` (an unknown name fails there, not at import).
+_active: str | None = None
 
 
 def active_backend() -> str:
     """The currently selected backend name."""
+    global _active
+    if _active is None:
+        _active = _validate(os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND))
     return _active
 
 
-def set_backend(name: str) -> str:
-    """Select a backend process-wide; returns the previous backend."""
+def set_backend(name: str) -> str | None:
+    """Select a backend process-wide; returns the previous selection.
+
+    The previous selection is None while the backend is still the unread
+    ``REPRO_BACKEND`` default.
+    """
     global _active
     previous = _active
     _active = _validate(name)
@@ -75,13 +87,14 @@ def set_backend(name: str) -> str:
 @contextmanager
 def use_backend(name: str) -> Iterator[str]:
     """Temporarily select a backend (scoped; restores the previous one)."""
+    global _active
     previous = set_backend(name)
     try:
-        yield _active
+        yield name
     finally:
-        set_backend(previous)
+        _active = previous
 
 
 def batching_enabled() -> bool:
     """True when the active backend routes evaluation through batch kernels."""
-    return _active != "scalar"
+    return active_backend() != "scalar"

@@ -16,7 +16,6 @@ loop when the callable does not broadcast).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Callable
 
@@ -30,7 +29,6 @@ __all__ = [
     "adaptive_simpson",
     "gauss_legendre",
     "gauss_legendre_nodes",
-    "lerp_many",
     "fixed_quadrature",
 ]
 
@@ -147,35 +145,6 @@ def gauss_legendre_nodes(num_nodes: int) -> tuple[tuple[float, ...], tuple[float
         raise NumericsError(f"gauss_legendre_nodes needs >= 1 node, got {num_nodes}")
     nodes, weights = _gl_nodes(num_nodes)
     return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
-
-
-def lerp_many(cs, xp, fp) -> list[float]:
-    """Batched piecewise-linear interpolation, bit-compatible with ``np.interp``.
-
-    ``xp`` must be strictly increasing; ``fp`` the corresponding ordinates
-    (both plain-float sequences).  Each query reproduces ``np.interp``'s
-    arithmetic exactly — same bracketing convention (largest ``j`` with
-    ``xp[j] <= c``), same ``slope*(c - xp[j]) + fp[j]`` formula, same
-    saturation to ``fp[0]``/``fp[-1]`` outside the grid — so the stdlib
-    backend of the batched hit model rounds identically to the NumPy one.
-    """
-    last = len(xp) - 1
-    out: list[float] = []
-    append = out.append
-    for c in cs:
-        if c <= xp[0]:
-            append(fp[0])
-        elif c >= xp[last]:
-            append(fp[last])
-        else:
-            j = bisect_right(xp, c) - 1
-            xj = xp[j]
-            if xj == c:
-                append(fp[j])
-            else:
-                slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xj)
-                append(slope * (c - xj) + fp[j])
-    return out
 
 
 def gauss_legendre(

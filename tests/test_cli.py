@@ -30,6 +30,34 @@ class TestParser:
         assert args.duration == {"family": "exponential", "mean": 5}
 
 
+class TestBackendSelection:
+    def test_unknown_backend_flag_exits_2(self, capsys):
+        assert main(["--backend", "stdlib", "list"]) == 2
+        err = capsys.readouterr().err
+        assert "'stdlib'" in err and "numpy" in err and "scalar" in err
+
+    def test_unknown_backend_env_exits_2(self, monkeypatch, capsys):
+        from repro.numerics import backend
+
+        monkeypatch.setenv("REPRO_BACKEND", "stdlib")
+        monkeypatch.setattr(backend, "_active", None)
+        assert main(["list"]) == 2
+        err = capsys.readouterr().err
+        assert "'stdlib'" in err and "numpy" in err and "scalar" in err
+
+    def test_backend_flag_overrides_env(self, monkeypatch):
+        from repro.numerics import backend
+
+        monkeypatch.setenv("REPRO_BACKEND", "stdlib")
+        monkeypatch.setattr(backend, "_active", None)
+        assert main(["--backend", "scalar", "list"]) == 0
+        assert backend.active_backend() == "scalar"
+
+    def test_help_names_numpy_default(self):
+        text = build_parser().format_help()
+        assert "{numpy,scalar}" in text and "default: numpy" in text
+
+
 class TestCommands:
     def test_list_output(self, capsys):
         assert main(["list"]) == 0
